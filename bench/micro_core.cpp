@@ -14,8 +14,10 @@
 #include "routing/optu.hpp"
 #include "routing/worst_case.hpp"
 #include "sim/fluid.hpp"
+#include "splitting_reference.hpp"
 #include "tm/traffic_matrix.hpp"
 #include "tm/uncertainty.hpp"
+#include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 
 namespace {
@@ -40,6 +42,61 @@ void BM_SplittingOptimizerIterations(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * opt.iterations);
 }
 BENCHMARK(BM_SplittingOptimizerIterations)->Arg(50)->Arg(200);
+
+// One splitting-optimizer call at plan scale, cross-checked once against
+// the pre-arena per-matrix oracle (tests/splitting_reference.hpp): every
+// ratio and the iteration count must agree exactly.
+void runSplitting(benchmark::State& state, const Graph& g,
+                  const tm::GravityOptions& go) {
+  const auto dags = core::augmentedDagsShared(g);
+  routing::PerformanceEvaluator eval(g, dags);
+  tm::PoolOptions popt;  // the margin sweeps' pool shape
+  popt.random_corners = 6;
+  popt.source_hotspots = false;
+  popt.max_hotspots = 12;
+  popt.seed = 5;
+  eval.addPool(tm::cornerPool(
+      tm::marginBounds(tm::gravityMatrix(g, 1.0, go), 2.0), popt));
+  const auto init = routing::RoutingConfig::uniform(g, dags);
+  core::SplittingOptions opt;
+  opt.iterations = 300;
+  int used = 0;
+  int ref_used = 0;
+  const auto got = core::optimizeSplitting(g, eval, init, opt, &used);
+  const auto ref =
+      splitting_reference::optimizeSplitting(g, eval, init, opt, &ref_used);
+  bool same = used == ref_used;
+  for (NodeId t = 0; t < g.numNodes(); ++t) {
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+      same = same && got.ratio(t, e) == ref.ratio(t, e);
+    }
+  }
+  if (!same) {
+    state.SkipWithError("optimizer differs from the reference oracle");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::optimizeSplitting(g, eval, init, opt));
+  }
+  state.SetItemsProcessed(state.iterations() * opt.iterations);
+  state.SetLabel("pool=" + std::to_string(eval.size()) + " matrices");
+}
+
+// Geant's 27-matrix corner pool: every destination batches every matrix.
+void BM_SplittingGeantPool(benchmark::State& state) {
+  runSplitting(state, topo::makeZoo("Geant"), {});
+}
+BENCHMARK(BM_SplittingGeantPool)->Unit(benchmark::kMillisecond);
+
+// Fat-tree k8 with top-k gravity between edge switches: only 32 of 80
+// nodes are destinations, so most destinations' batches are empty.
+void BM_SplittingFatTreeK8(benchmark::State& state) {
+  tm::GravityOptions go;
+  go.top_k = 8;
+  go.endpoint_prefix = "edge";
+  runSplitting(state, topo::fatTree(8), go);
+}
+BENCHMARK(BM_SplittingFatTreeK8)->Unit(benchmark::kMillisecond);
 
 // PERF evaluation hot path: ratioFor scans the whole pool, one propagation
 // per matrix, distributed over the thread pool. The series sweeps the

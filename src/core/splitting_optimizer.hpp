@@ -24,6 +24,21 @@
 //
 // Both recover the closed-form optimum of the paper's running example
 // (golden-ratio splits; Appendix B) -- enforced by unit tests.
+//
+// Hot-path layout (docs/splitting.md). Each call builds a destination-major
+// slot arena once, at O(DAG edges) cost: per destination t, its DAG tails
+// in topological order, each owning a run of slots (edge id, head node)
+// for its out-edges; phi and the gradient live per slot, capacities in a
+// flat array. Each destination batches only the pool matrices with demand
+// toward it (destinations with none are skipped), and its forward and
+// backward sweeps handle the whole batch at once through a [node][matrix]
+// inflow/adjoint block; loads, softmax weights and G = w / (wsum * c) sit
+// in [edge][matrix] blocks, with G computed once per iteration. Every
+// per-(matrix, edge) and per-(destination, edge) sum keeps the order of a
+// per-matrix propagation, so results are bit-identical to the per-matrix
+// oracle in tests/splitting_reference.hpp. The loop runs on the calling
+// thread and allocates nothing after setup; precondition checks on the
+// accessors it calls must not allocate either (util/require.hpp).
 #pragma once
 
 #include "routing/evaluator.hpp"

@@ -221,6 +221,12 @@ std::string Value::dump(int indent) const {
 
 namespace {
 
+/// Deepest array/object nesting a document may have. The parser recurses
+/// once per level, so an unbounded depth lets one request line overflow
+/// the stack (50 000 '[' crashed the daemon); legitimate documents nest a
+/// handful of levels.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -272,9 +278,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parseObject();
-      case '[':
-        return parseArray();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Value v = (c == '{') ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parseString());
       case 't':
@@ -470,6 +481,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects open at pos_
 };
 
 }  // namespace

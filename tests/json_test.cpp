@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -205,6 +206,24 @@ TEST(JsonParser, MalformedInputThrows) {
   EXPECT_THROW(parse("1 2"), Error);  // trailing garbage
   EXPECT_THROW(parse("{} []"), Error);
   EXPECT_THROW(parse("\"bad \\x escape\""), Error);
+}
+
+TEST(JsonParser, NestingDepthIsBounded) {
+  // One 50 000-level line used to overflow the parser's stack.
+  EXPECT_THROW(parse(std::string(50000, '[')), Error);
+  EXPECT_THROW(parse(std::string(50000, '[') + std::string(50000, ']')),
+               Error);
+  std::string objects;
+  for (int i = 0; i < 50000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse(objects), Error);
+  // 512 levels parse; the 513th is refused.
+  const Value deep = parse(std::string(512, '[') + std::string(512, ']'));
+  EXPECT_EQ(deep.asArray().size(), 1u);
+  EXPECT_THROW(parse(std::string(513, '[') + std::string(513, ']')), Error);
+  // Depth counts open levels, not how many a document holds in total.
+  std::string wide = "[";
+  for (int i = 0; i < 2000; ++i) wide += (i == 0 ? "[[]]" : ",[[]]");
+  EXPECT_EQ(parse(wide + "]").asArray().size(), 2000u);
 }
 
 TEST(JsonEquality, NumbersAndStructure) {

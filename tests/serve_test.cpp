@@ -143,6 +143,7 @@ TEST(TeService, MalformedRequestsAreErrorResponsesNotDeath) {
       R"({"op":"demand","scale":-2})",
       R"({"op":"demand","set":[["v1","v1",1.0]]})",
       R"({"op":"what-if","links":"v1-v2"})",
+      std::string(50000, '['),  // used to overflow the parser's stack
   };
   for (const std::string& line : bad) {
     json::Value resp = parsed(service.handleLine(line));
